@@ -40,14 +40,7 @@ from .grammar import (
     yield_of,
 )
 from .intstack import IntegerizedStack, join
-from .lz import (
-    MIN_TARGET_NODES,
-    BuildCursor,
-    default_eligibility,
-    diff_report,
-    lz_decode,
-    lz_targets,
-)
+from .lz import MIN_TARGET_NODES, default_eligibility, diff_report, lz_decode
 from .oracle import BijectionReport, all_trees, bijection_check
 from .pairing import (
     LEAF,
@@ -68,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BijectionReport",
     "BinaryTree",
-    "BuildCursor",
     "DEFAULT_STEP_BUDGET",
     "DecodeStats",
     "DerivationTree",
@@ -100,7 +92,6 @@ __all__ = [
     "leaves",
     "load_grammar",
     "lz_decode",
-    "lz_targets",
     "mod_pair",
     "mod_unpair",
     "node_count",

@@ -3,8 +3,9 @@
 Commands: validate, enumerate, decode, encode, diff.  Grammar files use
 the text format documented in :mod:`treenum.grammar`.  Data goes to
 stdout, diagnostics to stderr.  Exit codes: 0 ok, 1 unreadable or
-unparseable grammar file, 2 grammar fails validation, 3 malformed index
-or s-expression, 4 tree not generated by the grammar.
+unparseable grammar file, or a tree too large to build (step budget
+exceeded, out of memory or recursion), 2 grammar fails validation, 3
+malformed index or s-expression, 4 tree not generated by the grammar.
 """
 
 import argparse
@@ -20,15 +21,15 @@ from .grammar import (
     TreeNotInGrammarError,
     load_grammar,
     sexpr_to_tree,
-    tree_to_json_obj,
     tree_to_sexpr,
     validate,
+    write_tree,
     yield_of,
 )
 from .lz import diff_report, lz_decode
 
 EXIT_OK = 0
-EXIT_ERROR = 1  # unreadable/unparseable grammar, or decoding aborted
+EXIT_ERROR = 1  # unreadable/unparseable grammar, or a tree too large to build
 EXIT_INVALID_GRAMMAR = 2
 EXIT_BAD_INPUT = 3
 EXIT_TREE_NOT_IN_GRAMMAR = 4
@@ -84,6 +85,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     except StepBudgetExceeded as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_ERROR
+    except (RecursionError, MemoryError) as err:
+        print(f"error: tree too large to process ({type(err).__name__})", file=sys.stderr)
         return EXIT_ERROR
 
 
@@ -158,7 +162,11 @@ def _render(tree, args) -> str:
         return yield_of(tree, args.sep)
     if args.format == "sexp":
         return tree_to_sexpr(tree)
-    return json.dumps(tree_to_json_obj(tree), separators=(",", ":"))
+    # The text of json.dumps(tree_to_json_obj(tree)), which would recurse
+    # once per tree level.
+    quote = json.encoder.encode_basestring_ascii
+    return write_tree(tree, lambda x: f'{{"nt":{quote(x.nt)},"children":[', quote, ",",
+                      lambda x: "]}")
 
 
 def _cmd_enumerate(g: Grammar, start: str, args) -> int:

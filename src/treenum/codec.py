@@ -27,6 +27,12 @@ from .grammar import DerivationTree, Grammar, rule_index_of
 from .intstack import join
 
 DEFAULT_STEP_BUDGET = 1_000_000
+_NO_BUDGET = 1 << 62  # stands in for max_steps=None; no tree gets near it
+
+# Each enumerate_trees stream keeps up to MEMO_CAP subtrees of indices below
+# MEMO_LIMIT: child indices shrink like a square root, so they recur often.
+MEMO_LIMIT = 1024
+MEMO_CAP = 50_000
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -55,73 +61,92 @@ def decode(
 ) -> DerivationTree:
     """Return the n'th derivation tree rooted at nonterminal v."""
     _check_args(g, v, n)
+    tree, steps = unfold(g, v, n, max_steps)
+    if stats is not None:
+        stats.expansions += steps
+    return tree
+
+
+def unfold(g: Grammar, v: str, n: int, max_steps: int | None, memo=None, refs=None):
+    """The decoding core: return (tree for index n of v, expansions made).
+
+    Children are expanded left to right, and each node is built once, when
+    its last child is finished.  Optional hooks: ``memo`` maps ``(nt, idx)``
+    for idx < MEMO_LIMIT to ``(tree, expansions)``, and a hit is charged its
+    expansions; ``refs.lookup(nt, idx, root's child list so far)`` returns
+    ``(tree, None)`` for a back-reference or ``(None, index left to decode)``.
+    """
     t_counts = g._t_counts
     alts = g._alts
     isqrt = math.isqrt
+    new = tuple.__new__
+    budget = _NO_BUDGET if max_steps is None else max_steps
+    hooked = memo is not None or refs is not None
+    frames: list = []  # nodes under construction: (nt, idx, kids, todo, slot in parent, steps)
     steps = 0
-
-    # Phase 1: expand every node, recording parent links.  The stack
-    # arithmetic is IntegerizedStack.modpop followed by .split, written
-    # out inline because this loop dominates enumeration time.
-    entries: list = []  # (nt, children list, parent entry, slot in parent)
-    single: DerivationTree | None = None
-    work: list = [(v, n, -1, 0)]
-    while work:
-        nt, idx, parent, slot = work.pop()
+    nt, idx, slot = v, n, 0
+    while True:
+        node = None
+        if hooked:
+            if memo is None:
+                node, idx = refs.lookup(nt, idx, frames[0][2] if frames else ())
+            elif idx < MEMO_LIMIT:
+                hit = memo.get((nt, idx))
+                if hit is not None:
+                    node, size = hit
+                    steps += size - 1
         steps += 1
-        if max_steps is not None and steps > max_steps:
+        if steps > budget:
             raise StepBudgetExceeded(
                 f"decode exceeded {max_steps} expansions at nonterminal {nt!r}; "
                 f"the tree for this index may be too large to materialize"
             )
-        t_count = t_counts[nt]
-        if idx < t_count:
-            node = DerivationTree(nt, alts[nt][idx][0])
-            if parent < 0:
-                single = node
+        if node is None:
+            t_count = t_counts[nt]
+            if idx < t_count:
+                node = new(DerivationTree, (nt, alts[nt][idx][0]))
             else:
-                entries[parent][1][slot] = node
-            continue
-        value = idx - t_count
-        which = value % (len(alts[nt]) - t_count)
-        value //= len(alts[nt]) - t_count
-        rhs, flags, arity = alts[nt][t_count + which]
-        me = len(entries)
-        children = list(rhs)  # terminals stay; nonterminal slots overwritten
-        entries.append((nt, children, parent, slot))
-        remaining = arity
-        for pos, is_nt in enumerate(flags):
-            if not is_nt:
+                # IntegerizedStack.modpop and .split, written out inline
+                # because this loop dominates enumeration time.
+                rules = alts[nt]
+                k = len(rules) - t_count
+                value = idx - t_count
+                rhs, slots = rules[t_count + value % k]
+                value //= k
+                if len(slots) == 1:
+                    frames.append((nt, idx, list(rhs), (), slot, steps))
+                    (slot, nt), idx = slots[0], value
+                    continue
+                todo = []
+                for pos, sym in slots[:-1]:
+                    m = isqrt(value)
+                    d = value - m * m
+                    if d < m:
+                        value, part = d, m
+                    else:
+                        value, part = m, m * m + 2 * m - value
+                    todo.append((pos, sym, part))
+                pos, sym = slots[-1]
+                todo.append((pos, sym, value))
+                todo.reverse()
+                frames.append((nt, idx, list(rhs), todo, slot, steps))
+                slot, nt, idx = todo.pop()
                 continue
-            remaining -= 1
-            if remaining:
-                m = isqrt(value)
-                d = value - m * m
-                if d < m:
-                    value, part = d, m
-                else:
-                    value, part = m, m * m + 2 * m - value
-            else:
-                part = value
-            work.append((rhs[pos], part, me, pos))
-
-    if stats is not None:
-        stats.expansions += steps
-    if single is not None:
-        return single
-
-    # Phase 2: children were all created after their parents, so a reverse
-    # sweep freezes every node before its parent needs it.
-    root: DerivationTree | None = None
-    for i in range(len(entries) - 1, -1, -1):
-        nt, children, parent, slot = entries[i]
-        node = DerivationTree(nt, tuple(children))
-        if parent < 0:
-            root = node
+        # Climb: store the finished node, then finish every parent whose
+        # last child it was.
+        while frames:
+            frame = frames[-1]
+            frame[2][slot] = node
+            if frame[3]:
+                slot, nt, idx = frame[3].pop()
+                break
+            frames.pop()
+            node = new(DerivationTree, (frame[0], tuple(frame[2])))
+            slot = frame[4]
+            if memo is not None and frame[1] < MEMO_LIMIT and len(memo) < MEMO_CAP:
+                memo[frame[0], frame[1]] = (node, steps - frame[5] + 1)
         else:
-            entries[parent][1][slot] = node
-    assert root is not None
-    return root
+            return node, steps
 
 
 def encode(g: Grammar, t: DerivationTree) -> int:
@@ -163,8 +188,9 @@ def enumerate_trees(
 ) -> Iterator[tuple[int, DerivationTree]]:
     """Yield (index, tree) for index = start, start+1, ...
 
-    ``count`` limits the stream; None streams forever.  Every item is
-    decoded from scratch, so memory use does not grow with the index.
+    ``count`` limits the stream; None streams forever.  The stream keeps a
+    bounded memo of small subtrees (see ``MEMO_LIMIT``), shared between its
+    trees, so memory use does not grow with the index.
     """
     if v is None:
         v = g.start
@@ -172,9 +198,12 @@ def enumerate_trees(
         raise ValueError("start index must be non-negative")
     if count is not None and count < 0:
         raise ValueError("count must be non-negative")
+    if count != 0:
+        _check_args(g, v, start)
     indices = itertools.count(start) if count is None else range(start, start + count)
+    memo: dict = {}
     for i in indices:
-        yield i, decode(g, v, i, max_steps=max_steps)
+        yield i, unfold(g, v, i, max_steps, memo)[0]
 
 
 def _check_args(g: Grammar, v: str, n: int) -> None:

@@ -97,16 +97,15 @@ class Grammar:
                 if not rule.is_terminal:
                     seen_nonterminal_rule[nt] = True
         # Lookup tables for the codecs: per nonterminal the terminal-rule
-        # count and, per rule, (rhs, is-nonterminal flags, nonterminal count).
+        # count and, per rule, (rhs, (position, symbol) of each nonterminal).
         t_counts = {}
         alts = {}
         for nt, rules in self.rules.items():
             t_counts[nt] = sum(1 for r in rules if r.is_terminal)
-            infos = []
-            for r in rules:
-                flags = tuple(s in self.rules for s in r.rhs)
-                infos.append((r.rhs, flags, sum(flags)))
-            alts[nt] = tuple(infos)
+            alts[nt] = tuple(
+                (r.rhs, tuple((i, s) for i, s in enumerate(r.rhs) if s in self.rules))
+                for r in rules
+            )
         object.__setattr__(self, "_t_counts", t_counts)
         object.__setattr__(self, "_alts", alts)
 
@@ -129,10 +128,76 @@ class DerivationTree(NamedTuple):
 
     Children are either nested trees or terminal tokens (plain strings).
     Values are immutable and hashable, so structural equality is ``==``.
+    ``==``, ``hash`` and ``repr`` give the same values as for plain tuples
+    but do not recurse, so they work at any depth.
     """
 
     nt: str
     children: tuple[Union["DerivationTree", str], ...] = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, tuple):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if len(a) != len(b):
+                return False
+            for x, y in zip(a, b):
+                if x is y:
+                    continue
+                if isinstance(x, tuple) and isinstance(y, tuple):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self):
+        # hash((nt, children)) bottom-up, each child standing in its
+        # parent's tuple as a proxy that carries its hash.
+        hashes: dict[int, int] = {}
+        for x in reversed(list(subtrees(self))):
+            kids = tuple([_Hashed(hashes[id(c)]) if isinstance(c, DerivationTree) else c for c in x[1]])
+            hashes[id(x)] = hash((x[0], kids))
+        return hashes[id(self)]
+
+    def __repr__(self):
+        return write_tree(
+            self, lambda x: f"{type(x).__name__}(nt={x[0]!r}, children=(", repr, ", ",
+            lambda x: ",))" if len(x[1]) == 1 else "))")
+
+
+class _Hashed(int):
+    """An int whose hash is its value (a child's hash, known already)."""
+
+    __slots__ = ()
+    __hash__ = int.__index__
+
+
+def write_tree(t: DerivationTree, head, leaf, sep: str, tail) -> str:
+    """Text of a tree, built without recursing: for each node ``head(node)``,
+    its children separated by ``sep`` (terminals written by ``leaf``), then
+    ``tail(node)``."""
+    pieces = []
+    stack: list = [t]
+    while stack:
+        x = stack.pop()
+        if not isinstance(x, DerivationTree):
+            pieces.append(x)
+            continue
+        pieces.append(head(x))
+        stack.append(tail(x))
+        kids = x[1]
+        for i in range(len(kids) - 1, -1, -1):
+            c = kids[i]
+            stack.append(c if isinstance(c, DerivationTree) else leaf(c))
+            if i:
+                stack.append(sep)
+    return "".join(pieces)
 
 
 def parse_grammar(text: str) -> Grammar:
@@ -446,7 +511,7 @@ def sexpr_to_tree(g: Grammar, text: str) -> DerivationTree:
             if not stack:
                 raise SexprSyntaxError("unbalanced ')'")
             label, children = stack.pop()
-            node = DerivationTree(label, tuple(children))
+            node = tuple.__new__(DerivationTree, (label, tuple(children)))
             if stack:
                 stack[-1][1].append(node)
             else:
@@ -467,4 +532,15 @@ def tree_to_json_obj(t: DerivationTree | str):
     """JSON-ready form: {"nt": ..., "children": [...]}, terminals as strings."""
     if isinstance(t, str):
         return t
-    return {"nt": t.nt, "children": [tree_to_json_obj(c) for c in t.children]}
+    root = {"nt": t.nt, "children": []}
+    stack = [(t.children, root["children"])]
+    while stack:
+        children, out = stack.pop()
+        for c in children:
+            if isinstance(c, str):
+                out.append(c)
+            else:
+                obj = {"nt": c.nt, "children": []}
+                out.append(obj)
+                stack.append((c.children, obj["children"]))
+    return root

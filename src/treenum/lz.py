@@ -6,24 +6,23 @@ only then falls through to the plain rule coding.  Referencing copies the
 target subtree, so occurrences stay independent.  The map is total but no
 longer one-to-one: distinct indices can name the same tree.
 
-A node becomes a candidate target only once it is complete (all of its
-descendants expanded), so nodes on the current expansion path are never
-self-referenced.  Candidates are collected by depth-first preorder over
-the outermost tree under construction, keeping the first of structurally
-equal duplicates.  A candidate must also pass the eligibility predicate;
-the default keeps subtrees of at least ``MIN_TARGET_NODES`` nodes, the
-threshold under which referencing cannot beat spelling the subtree out.
-The predicate is injectable, both for testing (an always-false predicate
-makes this decoder agree with the plain one everywhere) and for trying
-other referencing schemes.
+Children are expanded left to right, and a node joins its parent's
+children when it is finished.  The targets of an expansion are therefore
+the nodes of the subtrees hanging from the root's finished children, never
+the root, the nodes on the path being expanded, or the finished nodes
+below a child of the root that is still being expanded.  A target must be
+labeled with the nonterminal being expanded and pass the eligibility
+predicate.  Targets are listed in depth-first preorder, keeping the first
+of structurally equal ones.  The default predicate keeps subtrees of at
+least ``MIN_TARGET_NODES`` nodes, under which referencing cannot beat
+spelling the subtree out; an always-false one makes this decoder agree
+with the plain one everywhere.
 """
 
-from dataclasses import dataclass, field
 from typing import Callable
 
-from .codec import DEFAULT_STEP_BUDGET, StepBudgetExceeded, decode
-from .grammar import DerivationTree, Grammar, node_count, yield_of
-from .intstack import IntegerizedStack
+from .codec import DEFAULT_STEP_BUDGET, _check_args, decode, unfold
+from .grammar import DerivationTree, Grammar, node_count, subtrees, yield_of
 
 # Minimum size (nonterminal nodes + terminal leaves) of a referenceable subtree.
 MIN_TARGET_NODES = 4
@@ -33,62 +32,74 @@ def default_eligibility(t: DerivationTree) -> bool:
     return node_count(t) >= MIN_TARGET_NODES
 
 
-@dataclass
-class _BuildNode:
-    """Mutable node used while a tree is being constructed."""
+class TargetTracker:
+    """The targets of one tree under construction, per nonterminal.
 
-    nt: str
-    children: list = field(default_factory=list)
-    complete: bool = False
-
-
-@dataclass
-class BuildCursor:
-    """Handle on the outermost tree under construction (None before any)."""
-
-    root: _BuildNode | None = None
-
-
-def _freeze(node) -> DerivationTree | str:
-    if isinstance(node, str):
-        return node
-    return DerivationTree(node.nt, tuple(_freeze(c) for c in node.children))
-
-
-def _thaw(t: DerivationTree | str):
-    # Copies are built complete: only finished subtrees are ever referenced.
-    if isinstance(t, str):
-        return t
-    return _BuildNode(t.nt, [_thaw(c) for c in t.children], complete=True)
-
-
-def lz_targets(
-    nt: str,
-    cursor: BuildCursor | None,
-    eligible: Callable[[DerivationTree], bool] = default_eligibility,
-) -> list[DerivationTree]:
-    """Referenceable subtrees for an expansion of ``nt``, in preorder.
-
-    A subtree qualifies when it is complete, labeled ``nt``, passes the
-    eligibility predicate, and is not structurally equal to an earlier
-    find (the first occurrence wins).
+    Each finished child of the root is walked once.  Structurally equal
+    subtrees share an interned id ``(nt, child ids)``, so no tree is hashed.
     """
-    if cursor is None or cursor.root is None:
-        return []
-    out: list[DerivationTree] = []
-    seen: set[DerivationTree] = set()
-    stack = [cursor.root]
-    while stack:
-        node = stack.pop()
-        if node.complete and node.nt == nt:
-            frozen = _freeze(node)
-            if frozen not in seen and eligible(frozen):
-                seen.add(frozen)
-                out.append(frozen)
-        for c in reversed(node.children):
-            if isinstance(c, _BuildNode):
-                stack.append(c)
-    return out
+
+    def __init__(self, g: Grammar, eligible: Callable[[DerivationTree], bool] = default_eligibility):
+        self._nonterminals = g.rules
+        # None selects the node counts kept with the structural ids.
+        self._eligible = None if eligible is default_eligibility else eligible
+        self._targets: dict[str, list[DerivationTree]] = {}
+        self._ids: dict[tuple, int] = {}  # (nt, child ids or terminals) -> structural id
+        self._sizes: list[int] = []  # structural id -> node count
+        self._taken: set[int] = set()  # structural ids already listed
+        self._scanned = 0  # root children walked so far
+
+    def targets(self, nt: str) -> list[DerivationTree]:
+        """The targets labeled ``nt``, in preorder."""
+        return self._targets.get(nt, [])
+
+    def settle(self, root_children) -> None:
+        """Walk the root's children finished since the last call; in the
+        list, a nonterminal's name holds the slot of an unfinished child."""
+        while self._scanned < len(root_children):
+            child = root_children[self._scanned]
+            if isinstance(child, DerivationTree):
+                self._add(child)
+            elif child in self._nonterminals:
+                return
+            self._scanned += 1
+
+    def lookup(self, nt: str, idx: int, root_children):
+        """``(copy of target idx, None)``, or ``(None, idx - number of targets)``."""
+        self.settle(root_children)
+        targets = self._targets.get(nt, ())
+        if idx < len(targets):
+            return _copy(targets[idx]), None
+        return None, idx - len(targets)
+
+    def _add(self, tree: DerivationTree) -> None:
+        order = list(subtrees(tree))
+        ids, sizes = self._ids, self._sizes
+        sid: dict[int, int] = {}  # id(node) -> structural id
+        for x in reversed(order):
+            key = (x[0], tuple(c if isinstance(c, str) else sid[id(c)] for c in x[1]))
+            s = ids.get(key)
+            if s is None:
+                s = ids[key] = len(sizes)
+                sizes.append(1 + sum(1 if isinstance(c, str) else sizes[sid[id(c)]] for c in x[1]))
+            sid[id(x)] = s
+        for x in order:
+            s = sid[id(x)]
+            if s in self._taken:
+                continue
+            if sizes[s] >= MIN_TARGET_NODES if self._eligible is None else self._eligible(x):
+                self._taken.add(s)
+                self._targets.setdefault(x[0], []).append(x)
+
+
+def _copy(tree: DerivationTree) -> DerivationTree:
+    """A copy of tree with new nodes (terminal tokens are shared)."""
+    new = tuple.__new__
+    built: dict[int, DerivationTree] = {}
+    for x in reversed(list(subtrees(tree))):
+        kids = tuple(c if isinstance(c, str) else built[id(c)] for c in x[1])
+        built[id(x)] = new(DerivationTree, (x[0], kids))
+    return built[id(tree)]
 
 
 def lz_decode(
@@ -101,48 +112,8 @@ def lz_decode(
 ) -> DerivationTree:
     """Decode with back-references; identical to plain decode when no
     subtree is ever referenceable."""
-    if not g.validated:
-        raise ValueError("grammar must be validated (call validate first)")
-    if v not in g.rules:
-        raise ValueError(f"unknown nonterminal {v!r}")
-    if n < 0:
-        raise ValueError(f"index must be a non-negative integer (got {n})")
-    t_counts = g._t_counts
-    alts = g._alts
-    cursor = BuildCursor()
-    steps = 0
-
-    def expand(nt: str, idx: int) -> _BuildNode:
-        nonlocal steps
-        steps += 1
-        if max_steps is not None and steps > max_steps:
-            raise StepBudgetExceeded(f"lz decode exceeded {max_steps} expansions")
-        targets = lz_targets(nt, cursor, eligible)
-        if idx < len(targets):
-            return _thaw(targets[idx])
-        idx -= len(targets)
-        t_count = t_counts[nt]
-        if idx < t_count:
-            rhs = alts[nt][idx][0]
-            return _BuildNode(nt, list(rhs), complete=True)
-        stack = IntegerizedStack(idx - t_count)
-        which = stack.modpop(len(alts[nt]) - t_count)
-        rhs, flags, arity = alts[nt][t_count + which]
-        parts = stack.split(arity)
-        node = _BuildNode(nt)
-        if cursor.root is None:
-            cursor.root = node
-        k = 0
-        for pos, sym in enumerate(rhs):
-            if flags[pos]:
-                node.children.append(expand(sym, parts[k]))
-                k += 1
-            else:
-                node.children.append(sym)
-        node.complete = True
-        return node
-
-    return _freeze(expand(v, n))
+    _check_args(g, v, n)
+    return unfold(g, v, n, max_steps, refs=TargetTracker(g, eligible))[0]
 
 
 def diff_report(

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from treenum import decode, tree_to_json_obj
 from treenum.cli import main
 from conftest import GRAMMARS, expected_ab_diff, expected_enumeration
 
@@ -164,3 +165,45 @@ def test_output_is_deterministic(capsys):
     runs = [run_cli(capsys, "enumerate", TEXTBOOK, "--count", "40", "--format", "sexp")
             for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+def chain_grammar(tmp_path):
+    path = tmp_path / "chain.cfg"
+    path.write_text("S -> x | a S\n")
+    return str(path)
+
+
+def test_decode_deep_tree_as_json(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "decode", chain_grammar(tmp_path), "5000", "--format", "json")
+    assert code == 0, err
+    assert out == '{"nt":"S","children":["a",' * 5000 + '{"nt":"S","children":["x"]}' + "]}" * 5000 + "\n"
+
+
+def test_decode_deep_tree_with_back_references(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "decode", chain_grammar(tmp_path), "5000", "--algorithm", "b")
+    assert code == 0, err
+    assert out == "a" * 5000 + "x\n"
+
+
+def test_json_format_matches_json_dumps(capsys, textbook):
+    code, out, err = run_cli(capsys, "enumerate", TEXTBOOK, "--count", "300", "--format", "json")
+    assert code == 0
+    for i, line in enumerate(out.splitlines()):
+        assert line == json.dumps(tree_to_json_obj(decode(textbook, "S", i)), separators=(",", ":"))
+
+
+def test_step_budget_exits_1_with_one_line(capsys):
+    code, out, err = run_cli(capsys, "decode", TEXTBOOK, str(2**256))
+    assert code == 1
+    assert err.startswith("error: decode exceeded") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("failure", [RecursionError, MemoryError])
+def test_resource_failures_exit_1_with_one_line(capsys, monkeypatch, failure):
+    def failing(*args, **kwargs):
+        raise failure()
+
+    monkeypatch.setattr("treenum.cli.decode", failing)
+    code, out, err = run_cli(capsys, "decode", TEXTBOOK, "3")
+    assert code == 1
+    assert err == f"error: tree too large to process ({failure.__name__})\n"

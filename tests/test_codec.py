@@ -9,13 +9,15 @@ from treenum import (
     decode,
     encode,
     enumerate_trees,
+    load_grammar,
     parse_grammar,
     rule_index_of,
     sexpr_to_tree,
     subtrees,
+    validate,
     yield_of,
 )
-from conftest import expected_enumeration
+from conftest import REPO, expected_enumeration
 
 
 def test_decode_matches_reference_yields(textbook):
@@ -117,3 +119,32 @@ def test_big_index_roundtrip_on_branching_grammars(binary, random3):
         for _ in range(10):
             n = rng.getrandbits(256)
             assert encode(g, decode(g, g.start, n)) == n
+
+
+def test_memoised_enumeration_equals_decode_on_textbook_prefix(textbook):
+    for i, t in enumerate_trees(textbook, "S", 0, 10_001):
+        assert t == decode(textbook, "S", i), i
+        assert encode(textbook, t) == i
+
+
+def test_memoised_enumeration_equals_decode_on_logic_window():
+    g = validate(load_grammar(str(REPO / "perfbench" / "logic.cfg")))
+    start = random.Random(1024).getrandbits(24)
+    for i, t in enumerate_trees(g, "F", start, 3000):
+        assert t == decode(g, "F", i), i
+
+
+def test_memoised_enumeration_hits_the_budget_where_decode_does(textbook):
+    first = None
+    for n in range(10_001):
+        try:
+            decode(textbook, "S", n, max_steps=50)
+        except StepBudgetExceeded:
+            first = n
+            break
+    assert first is not None
+    reached = []
+    with pytest.raises(StepBudgetExceeded):
+        for i, _ in enumerate_trees(textbook, "S", 0, None, max_steps=50):
+            reached.append(i)
+    assert reached == list(range(first))
