@@ -15,7 +15,8 @@ indices naming terminal rules.
 
 Both directions walk an explicit stack rather than recursing: an index n
 can name a tree whose depth grows linearly in n (unary rule chains), far
-past any recursion limit.
+past any recursion limit.  ``encode`` finds each node's rule in one table
+lookup and does the pairing of ``intstack.join`` inline.
 """
 
 import itertools
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .grammar import DerivationTree, Grammar, rule_index_of
-from .intstack import join
 
 DEFAULT_STEP_BUDGET = 1_000_000
 _NO_BUDGET = 1 << 62  # stands in for max_steps=None; no tree gets near it
@@ -153,29 +153,29 @@ def encode(g: Grammar, t: DerivationTree) -> int:
     """Return the index that decodes to t (the exact inverse of decode)."""
     if not g.validated:
         raise ValueError("grammar must be validated (call validate first)")
-
-    # Post-order so every node's value is ready before its parent needs it.
-    order: list[DerivationTree] = []
-    stack: list[DerivationTree] = [t]
+    plan = []  # (rule index, nonterminals on the rhs, nonterminal rules) in preorder
+    stack = [t]
     while stack:
         node = stack.pop()
-        order.append(node)
-        for c in node.children:
-            if isinstance(c, DerivationTree):
-                stack.append(c)
-
-    values: dict[int, int] = {}
-    for node in reversed(order):
-        j = rule_index_of(g, node)
-        t_count = g._t_counts[node.nt]
-        if j < t_count:
-            values[id(node)] = j
-            continue
-        parts = [values[id(c)] for c in node.children if isinstance(c, DerivationTree)]
-        value = join(parts)
-        n_nonterminal = len(g.rules[node.nt]) - t_count
-        values[id(node)] = (j - t_count) + n_nonterminal * value + t_count
-    return values[id(t)]
+        nt, kids = node
+        subs = [c for c in kids if isinstance(c, DerivationTree)]
+        shape = tuple([c[0] if isinstance(c, DerivationTree) else c for c in kids]) if subs else kids
+        hit = g._rule_ids.get((nt, shape))
+        if hit is None or hit[1] != len(subs):
+            rule_index_of(g, node)  # raises, naming the node
+        plan.append(hit)
+        stack += subs
+    values: list[int] = []  # finished nodes' indices, a node's first child deepest
+    for j, n_sub, k in reversed(plan):
+        if n_sub:
+            value = values.pop()
+            for _ in range(n_sub - 1):  # intstack.join
+                a = values.pop()
+                m = value if value > a else a
+                value = m * m + m + value - a
+            j += k * value
+        values.append(j)
+    return values[0]
 
 
 def enumerate_trees(

@@ -20,7 +20,7 @@ from the start symbol:
   reaches an all-terminal tree, so index 0 decodes to a finite tree.
 """
 
-import re
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple, Union
 
@@ -97,17 +97,22 @@ class Grammar:
                 if not rule.is_terminal:
                     seen_nonterminal_rule[nt] = True
         # Lookup tables for the codecs: per nonterminal the terminal-rule
-        # count and, per rule, (rhs, (position, symbol) of each nonterminal).
+        # count and, per rule, (rhs, (position, symbol) of each nonterminal);
+        # per (nt, rhs), (rule index, nonterminals on the rhs, nonterminal rules).
         t_counts = {}
         alts = {}
+        rule_ids = {}
         for nt, rules in self.rules.items():
             t_counts[nt] = sum(1 for r in rules if r.is_terminal)
             alts[nt] = tuple(
                 (r.rhs, tuple((i, s) for i, s in enumerate(r.rhs) if s in self.rules))
                 for r in rules
             )
+            for j, (rhs, slots) in enumerate(alts[nt]):
+                rule_ids.setdefault((nt, rhs), (j, len(slots), len(rules) - t_counts[nt]))
         object.__setattr__(self, "_t_counts", t_counts)
         object.__setattr__(self, "_alts", alts)
+        object.__setattr__(self, "_rule_ids", rule_ids)
 
     @property
     def nonterminals(self) -> tuple[str, ...]:
@@ -123,13 +128,17 @@ class Grammar:
         return self._t_counts[nt]
 
 
+_FAST_DEPTH = 5_000  # recursion limits that stop the C tuple == and hash in time
+
+
 class DerivationTree(NamedTuple):
     """A derivation node: a nonterminal label plus ordered children.
 
     Children are either nested trees or terminal tokens (plain strings).
     Values are immutable and hashable, so structural equality is ``==``.
     ``==``, ``hash`` and ``repr`` give the same values as for plain tuples
-    but do not recurse, so they work at any depth.
+    and work at any depth: ``==`` and ``hash`` try the C tuple versions
+    and fall back to walks past the recursion limit.
     """
 
     nt: str
@@ -138,6 +147,11 @@ class DerivationTree(NamedTuple):
     def __eq__(self, other):
         if not isinstance(other, tuple):
             return NotImplemented
+        if sys.getrecursionlimit() <= _FAST_DEPTH:
+            try:
+                return tuple.__eq__(self, other)
+            except RecursionError:
+                pass
         stack = [(self, other)]
         while stack:
             a, b = stack.pop()
@@ -157,6 +171,11 @@ class DerivationTree(NamedTuple):
         return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
+        if sys.getrecursionlimit() <= _FAST_DEPTH:
+            try:
+                return tuple.__hash__(self)
+            except RecursionError:
+                pass
         # hash((nt, children)) bottom-up, each child standing in its
         # parent's tuple as a proxy that carries its hash.
         hashes: dict[int, int] = {}
@@ -441,23 +460,16 @@ def subtrees(t: DerivationTree) -> Iterator[DerivationTree]:
 
 def rule_index_of(g: Grammar, node: DerivationTree) -> int:
     """Index (in the normalized rule list) of the rule this node applies."""
-    rules = g.rules.get(node.nt)
-    if rules is None:
+    if node.nt not in g.rules:
         raise TreeNotInGrammarError(f"{node.nt!r} is not a nonterminal of the grammar")
-    for i, rule in enumerate(rules):
-        if len(rule.rhs) != len(node.children):
-            continue
-        for sym, child in zip(rule.rhs, node.children):
-            if isinstance(child, DerivationTree):
-                if child.nt != sym or sym not in g.rules:
-                    break
-            elif child != sym or sym in g.rules:
-                break
-        else:
-            return i
-    shape = " ".join(c.nt if isinstance(c, DerivationTree) else c for c in node.children)
+    labels = [c.nt for c in node.children if isinstance(c, DerivationTree)]
+    shape = tuple(c.nt if isinstance(c, DerivationTree) else c for c in node.children)
+    hit = g._rule_ids.get((node.nt, shape))
+    # The counts tell a token "NP" from a child NP, and a child n from a token n.
+    if hit is not None and hit[1] == len(labels) == sum(s in g.rules for s in labels):
+        return hit[0]
     raise TreeNotInGrammarError(
-        f"tree not generated by grammar: no rule {node.nt} {ARROW} {shape or EPSILON}"
+        f"tree not generated by grammar: no rule {node.nt} {ARROW} {' '.join(shape) or EPSILON}"
     )
 
 
@@ -469,63 +481,67 @@ def verify_tree(g: Grammar, t: DerivationTree) -> None:
 
 def tree_to_sexpr(t: DerivationTree) -> str:
     """Serialize to ``(S (NP n) (VP v))`` form."""
-    _close = object()
     pieces: list[str] = []
     stack: list = [t]
     while stack:
         x = stack.pop()
-        if x is _close:
-            pieces.append(")")
-        elif isinstance(x, DerivationTree):
-            pieces.append("(" + x.nt)
-            stack.append(_close)
-            stack.extend(reversed(x.children))
+        if isinstance(x, DerivationTree):
+            pieces.append("(" + x[0])
+            stack.append(")")
+            stack.extend(reversed(x[1]))
         else:
             pieces.append(x)
-    out: list[str] = []
-    for p in pieces:
-        if out and p != ")":
-            out.append(" ")
-        out.append(p)
-    return "".join(out)
+    # Symbols hold no parentheses, so " )" only ever ends a node.
+    return " ".join(pieces).replace(" )", ")")
 
 
 def sexpr_to_tree(g: Grammar, text: str) -> DerivationTree:
-    """Parse an s-expression and verify it is a derivation tree of g."""
-    tokens = re.findall(r"[()]|[^()\s]+", text)
+    """Parse an s-expression and verify it is a derivation tree of g.
+
+    Each node's rule is looked up when the node closes, but a syntax error
+    anywhere in the text is reported before a node that applies no rule.
+    """
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise SexprSyntaxError("empty input")
-    stack: list[tuple[str, list]] = []
-    root: DerivationTree | None = None
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if root is not None:
-            raise SexprSyntaxError("unexpected content after the closing ')'")
+    # The open node's label, children, their shape (see rule_index_of) and
+    # number of subtrees; the stack holds its ancestors'.
+    label = kids = shape = None
+    n_sub = 0
+    stack: list = []
+    in_grammar = True
+    it = iter(tokens)
+    for tok in it:
         if tok == "(":
-            if i + 1 >= len(tokens) or tokens[i + 1] in ("(", ")"):
+            nxt = next(it, ")")
+            if nxt == "(" or nxt == ")":
                 raise SexprSyntaxError("expected a node label after '('")
-            stack.append((tokens[i + 1], []))
-            i += 2
+            stack.append((label, kids, shape, n_sub))
+            label, kids, shape, n_sub = nxt, [], [], 0
         elif tok == ")":
-            if not stack:
+            if label is None:
                 raise SexprSyntaxError("unbalanced ')'")
-            label, children = stack.pop()
-            node = tuple.__new__(DerivationTree, (label, tuple(children)))
-            if stack:
-                stack[-1][1].append(node)
-            else:
-                root = node
-            i += 1
+            hit = g._rule_ids.get((label, tuple(shape)))
+            in_grammar = in_grammar and hit is not None and hit[1] == n_sub
+            node = tuple.__new__(DerivationTree, (label, tuple(kids)))
+            label, kids, shape, n_sub = stack.pop()
+            if label is None:
+                break
+            kids.append(node)
+            shape.append(node[0])
+            n_sub += 1
+        elif label is None:
+            raise SexprSyntaxError("tree must start with '('")
         else:
-            if not stack:
-                raise SexprSyntaxError("tree must start with '('")
-            stack[-1][1].append(tok)
-            i += 1
-    if root is None:
+            kids.append(tok)
+            shape.append(tok)
+    else:
         raise SexprSyntaxError("unbalanced '(': missing closing ')'")
-    verify_tree(g, root)
-    return root
+    if next(it, None) is not None:
+        raise SexprSyntaxError("unexpected content after the closing ')'")
+    if not in_grammar:
+        verify_tree(g, node)  # raises, naming the first bad node in preorder
+    return node
 
 
 def tree_to_json_obj(t: DerivationTree | str):

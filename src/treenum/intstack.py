@@ -5,7 +5,9 @@ square-shell pairing and returns one component, ``push`` pairs the value
 back on.  ``modpop``/``modpush`` do the same with the modular pairing,
 which is how a bounded choice (such as a grammar-rule index) is packed
 next to unbounded payload.  An empty stack is the number 0, and popping
-it yields 0 while leaving it empty.
+it yields 0 while leaving it empty.  The codec inlines ``split`` and
+``join`` in both directions; these stay as the reference that
+``test_intstack_property_suite`` pins.
 """
 
 from .pairing import rs_pair, rs_unpair

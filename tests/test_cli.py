@@ -139,6 +139,16 @@ def test_encode_error_codes(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "text, code",
+    [("(S NP VP)", 4), ("(S (NP n)) junk", 3), ("(S (NP n)", 3), ("(X a) junk", 3)],
+)
+def test_encode_reports_syntax_errors_before_grammar_errors(capsys, text, code):
+    got, out, err = run_cli(capsys, "encode", TEXTBOOK, text)
+    assert got == code and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_diff_matches_reference(capsys):
     code, out, err = run_cli(capsys, "diff", TEXTBOOK, "--count", "134")
     assert code == 0

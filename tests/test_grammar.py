@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from treenum import (
@@ -7,6 +11,8 @@ from treenum import (
     SexprSyntaxError,
     TreeNotInGrammarError,
     check_grammar,
+    decode,
+    encode,
     format_grammar,
     node_count,
     parse_grammar,
@@ -15,8 +21,10 @@ from treenum import (
     tree_to_json_obj,
     tree_to_sexpr,
     validate,
+    verify_tree,
     yield_of,
 )
+from conftest import REPO
 
 
 def test_textbook_normalization(textbook):
@@ -185,6 +193,54 @@ def test_rule_index_of(textbook):
     assert rule_index_of(textbook, s) == 0
     with pytest.raises(TreeNotInGrammarError):
         rule_index_of(textbook, DerivationTree("NP", ("n", "n")))
+
+
+@pytest.mark.parametrize(
+    "node",
+    [
+        DerivationTree("S", ("NP", "VP")),  # leaf tokens naming nonterminals
+        DerivationTree("NP", (DerivationTree("n", ()),)),  # a subtree labelled by a terminal
+        DerivationTree("NP", (DerivationTree("d", ()), "AP", "n")),  # both, swapped
+        DerivationTree("NP", ("d", DerivationTree("AP", ("a",)), DerivationTree("n", ()))),
+    ],
+)
+def test_shape_checks(textbook, node):
+    with pytest.raises(TreeNotInGrammarError):
+        rule_index_of(textbook, node)
+    with pytest.raises(TreeNotInGrammarError):
+        verify_tree(textbook, node)
+    with pytest.raises(TreeNotInGrammarError):
+        encode(textbook, node)
+
+
+def as_tuples(t):
+    return (t.nt, tuple(as_tuples(c) if isinstance(c, DerivationTree) else c for c in t.children))
+
+
+def test_hash_and_eq_agree_with_plain_tuples(textbook):
+    trees = [decode(textbook, "S", i) for i in range(2_000)]
+    for t in trees:
+        plain = as_tuples(t)
+        assert hash(t) == hash(plain) and t == plain and plain == t
+    assert len(set(trees) | {decode(textbook, "S", i) for i in range(1_000, 3_000)}) == 3_000
+
+
+def test_hash_and_eq_under_a_raised_recursion_limit():
+    # Past a raised limit the C tuple versions would overflow the C stack;
+    # the walks must answer instead.
+    script = """
+import sys
+from treenum import decode, parse_grammar, validate
+g = validate(parse_grammar("S -> x | a S\\n"))
+t, u = decode(g, "S", 100_000), decode(g, "S", 100_000)
+h = hash(t)
+sys.setrecursionlimit(10**6)
+assert hash(t) == hash(u) == h
+assert t == u and not t != u and t != decode(g, "S", 99_999)
+"""
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def test_node_count(textbook):
