@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .grammar import DerivationTree, Grammar, rule_index_of
+from .grammar import DerivationTree, Grammar, _rule_hit, rule_index_of
 
 DEFAULT_STEP_BUDGET = 1_000_000
 _NO_BUDGET = 1 << 62  # stands in for max_steps=None; no tree gets near it
@@ -157,14 +157,13 @@ def encode(g: Grammar, t: DerivationTree) -> int:
     stack = [t]
     while stack:
         node = stack.pop()
-        nt, kids = node
-        subs = [c for c in kids if isinstance(c, DerivationTree)]
-        shape = tuple([c[0] if isinstance(c, DerivationTree) else c for c in kids]) if subs else kids
-        hit = g._rule_ids.get((nt, shape))
-        if hit is None or hit[1] != len(subs):
+        if not isinstance(node, DerivationTree):
+            continue  # a token
+        hit = _rule_hit(g, node[0], node[1])
+        if hit is None:
             rule_index_of(g, node)  # raises, naming the node
         plan.append(hit)
-        stack += subs
+        stack += node[1]
     values: list[int] = []  # finished nodes' indices, a node's first child deepest
     for j, n_sub, k in reversed(plan):
         if n_sub:

@@ -20,7 +20,6 @@ from the start symbol:
   reaches an all-terminal tree, so index 0 decodes to a finite tree.
 """
 
-import sys
 from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple, Union
 
@@ -98,7 +97,7 @@ class Grammar:
                     seen_nonterminal_rule[nt] = True
         # Lookup tables for the codecs: per nonterminal the terminal-rule
         # count and, per rule, (rhs, (position, symbol) of each nonterminal);
-        # per (nt, rhs), (rule index, nonterminals on the rhs, nonterminal rules).
+        # the rule table of _rule_hit.
         t_counts = {}
         alts = {}
         rule_ids = {}
@@ -109,7 +108,8 @@ class Grammar:
                 for r in rules
             )
             for j, (rhs, slots) in enumerate(alts[nt]):
-                rule_ids.setdefault((nt, rhs), (j, len(slots), len(rules) - t_counts[nt]))
+                shape = tuple((s,) if s in self.rules else s for s in rhs)
+                rule_ids[nt, shape] = (j, len(slots), len(rules) - t_counts[nt])
         object.__setattr__(self, "_t_counts", t_counts)
         object.__setattr__(self, "_alts", alts)
         object.__setattr__(self, "_rule_ids", rule_ids)
@@ -128,17 +128,13 @@ class Grammar:
         return self._t_counts[nt]
 
 
-_FAST_DEPTH = 5_000  # recursion limits that stop the C tuple == and hash in time
-
-
 class DerivationTree(NamedTuple):
     """A derivation node: a nonterminal label plus ordered children.
 
     Children are either nested trees or terminal tokens (plain strings).
     Values are immutable and hashable, so structural equality is ``==``.
     ``==``, ``hash`` and ``repr`` give the same values as for plain tuples
-    and work at any depth: ``==`` and ``hash`` try the C tuple versions
-    and fall back to walks past the recursion limit.
+    but do not recurse, so they work at any depth.
     """
 
     nt: str
@@ -147,11 +143,6 @@ class DerivationTree(NamedTuple):
     def __eq__(self, other):
         if not isinstance(other, tuple):
             return NotImplemented
-        if sys.getrecursionlimit() <= _FAST_DEPTH:
-            try:
-                return tuple.__eq__(self, other)
-            except RecursionError:
-                pass
         stack = [(self, other)]
         while stack:
             a, b = stack.pop()
@@ -171,11 +162,6 @@ class DerivationTree(NamedTuple):
         return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
-        if sys.getrecursionlimit() <= _FAST_DEPTH:
-            try:
-                return tuple.__hash__(self)
-            except RecursionError:
-                pass
         # hash((nt, children)) bottom-up, each child standing in its
         # parent's tuple as a proxy that carries its hash.
         hashes: dict[int, int] = {}
@@ -458,18 +444,27 @@ def subtrees(t: DerivationTree) -> Iterator[DerivationTree]:
                 stack.append(c)
 
 
+def _rule_hit(g: Grammar, nt: str, kids) -> tuple[int, int, int] | None:
+    """(rule index, nonterminals on the rhs, nonterminal rules of nt) of the
+    rule that a node nt with children kids applies, or None.
+
+    In the lookup key a token stands for itself and a subtree for the
+    1-tuple of its label, so a token "NP" never passes for a child NP, nor
+    a child n for a token n.
+    """
+    return g._rule_ids.get((nt, tuple([c[:1] if isinstance(c, DerivationTree) else c for c in kids])))
+
+
 def rule_index_of(g: Grammar, node: DerivationTree) -> int:
     """Index (in the normalized rule list) of the rule this node applies."""
     if node.nt not in g.rules:
         raise TreeNotInGrammarError(f"{node.nt!r} is not a nonterminal of the grammar")
-    labels = [c.nt for c in node.children if isinstance(c, DerivationTree)]
-    shape = tuple(c.nt if isinstance(c, DerivationTree) else c for c in node.children)
-    hit = g._rule_ids.get((node.nt, shape))
-    # The counts tell a token "NP" from a child NP, and a child n from a token n.
-    if hit is not None and hit[1] == len(labels) == sum(s in g.rules for s in labels):
+    hit = _rule_hit(g, node.nt, node.children)
+    if hit is not None:
         return hit[0]
+    shape = " ".join(c.nt if isinstance(c, DerivationTree) else c for c in node.children)
     raise TreeNotInGrammarError(
-        f"tree not generated by grammar: no rule {node.nt} {ARROW} {' '.join(shape) or EPSILON}"
+        f"tree not generated by grammar: no rule {node.nt} {ARROW} {shape or EPSILON}"
     )
 
 
@@ -504,10 +499,8 @@ def sexpr_to_tree(g: Grammar, text: str) -> DerivationTree:
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise SexprSyntaxError("empty input")
-    # The open node's label, children, their shape (see rule_index_of) and
-    # number of subtrees; the stack holds its ancestors'.
-    label = kids = shape = None
-    n_sub = 0
+    # The open node's label and children; the stack holds its ancestors'.
+    label = kids = None
     stack: list = []
     in_grammar = True
     it = iter(tokens)
@@ -516,25 +509,22 @@ def sexpr_to_tree(g: Grammar, text: str) -> DerivationTree:
             nxt = next(it, ")")
             if nxt == "(" or nxt == ")":
                 raise SexprSyntaxError("expected a node label after '('")
-            stack.append((label, kids, shape, n_sub))
-            label, kids, shape, n_sub = nxt, [], [], 0
+            stack.append((label, kids))
+            label, kids = nxt, []
         elif tok == ")":
             if label is None:
                 raise SexprSyntaxError("unbalanced ')'")
-            hit = g._rule_ids.get((label, tuple(shape)))
-            in_grammar = in_grammar and hit is not None and hit[1] == n_sub
             node = tuple.__new__(DerivationTree, (label, tuple(kids)))
-            label, kids, shape, n_sub = stack.pop()
+            if in_grammar and _rule_hit(g, label, node[1]) is None:
+                in_grammar = False
+            label, kids = stack.pop()
             if label is None:
                 break
             kids.append(node)
-            shape.append(node[0])
-            n_sub += 1
         elif label is None:
             raise SexprSyntaxError("tree must start with '('")
         else:
             kids.append(tok)
-            shape.append(tok)
     else:
         raise SexprSyntaxError("unbalanced '(': missing closing ')'")
     if next(it, None) is not None:

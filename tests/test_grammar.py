@@ -211,6 +211,19 @@ def test_shape_checks(textbook, node):
         verify_tree(textbook, node)
     with pytest.raises(TreeNotInGrammarError):
         encode(textbook, node)
+    with pytest.raises(TreeNotInGrammarError):
+        sexpr_to_tree(textbook, tree_to_sexpr(node))
+
+
+def test_list_children_are_accepted(textbook):
+    # DerivationTree does not enforce tuple children; a hand-built node
+    # with lists must get the same answers as its tuple form.
+    listed = DerivationTree("S", [DerivationTree("NP", ["d", "n"]), DerivationTree("VP", ["v"])])
+    tupled = sexpr_to_tree(textbook, "(S (NP d n) (VP v))")
+    assert rule_index_of(textbook, listed) == rule_index_of(textbook, tupled) == 0
+    assert rule_index_of(textbook, listed.children[0]) == 1
+    verify_tree(textbook, listed)
+    assert encode(textbook, listed) == encode(textbook, tupled)
 
 
 def as_tuples(t):
@@ -226,8 +239,9 @@ def test_hash_and_eq_agree_with_plain_tuples(textbook):
 
 
 def test_hash_and_eq_under_a_raised_recursion_limit():
-    # Past a raised limit the C tuple versions would overflow the C stack;
-    # the walks must answer instead.
+    # Under a raised limit a recursive == or hash (such as the C tuple
+    # versions) would overflow the C stack on this tree before Python
+    # raised RecursionError.
     script = """
 import sys
 from treenum import decode, parse_grammar, validate
