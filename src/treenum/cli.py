@@ -4,8 +4,9 @@ Commands: validate, enumerate, decode, encode, diff.  Grammar files use
 the text format documented in :mod:`treenum.grammar`.  Data goes to
 stdout, diagnostics to stderr.  Exit codes: 0 ok, 1 unreadable or
 unparseable grammar file, or a tree too large to build (step budget
-exceeded, out of memory or recursion), 2 grammar fails validation, 3
-malformed index or s-expression, 4 tree not generated by the grammar.
+exceeded, out of memory or recursion), 2 grammar fails validation, or a
+usage error (argparse prints its usage text), 3 malformed index or
+s-expression, 4 tree not generated by the grammar.
 """
 
 import argparse
@@ -79,6 +80,11 @@ def _add_tree_options(p: argparse.ArgumentParser) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # Indices have no size limit, but CPython (3.10.7 and 3.11 on) limits
+    # int/str conversions to 4,300 digits: lift that for this call only.
+    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return _dispatch(args)
     except BrokenPipeError:
@@ -89,6 +95,9 @@ def main(argv: list[str] | None = None) -> int:
     except (RecursionError, MemoryError) as err:
         print(f"error: tree too large to process ({type(err).__name__})", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 def _dispatch(args) -> int:
@@ -126,6 +135,9 @@ def _load(path: str) -> Grammar | None:
         return load_grammar(path)
     except OSError as err:
         print(f"error: cannot read {path}: {err.strerror}", file=sys.stderr)
+        return None
+    except UnicodeDecodeError as err:
+        print(f"error: cannot read {path}: not UTF-8 text (byte {err.start})", file=sys.stderr)
         return None
     except GrammarSyntaxError as err:
         print(f"error: {path}: {err}", file=sys.stderr)

@@ -15,13 +15,12 @@ indices naming terminal rules.
 
 Both directions walk an explicit stack rather than recursing: an index n
 can name a tree whose depth grows linearly in n (unary rule chains), far
-past any recursion limit.  ``encode`` finds each node's rule in one table
-lookup and does the pairing of ``intstack.join`` inline.
+past any recursion limit.  Both read the tables each ``Grammar`` compiles
+once, with one lookup per node, and do the work of ``intstack`` inline.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 from .grammar import DerivationTree, Grammar, _rule_hit, rule_index_of
@@ -44,11 +43,11 @@ class StepBudgetExceeded(RuntimeError):
     """
 
 
-@dataclass
 class DecodeStats:
     """Counts nonterminal expansions (one per decode of a tree node)."""
 
-    expansions: int = 0
+    def __init__(self, expansions: int = 0):
+        self.expansions = expansions
 
 
 def decode(
@@ -76,8 +75,7 @@ def unfold(g: Grammar, v: str, n: int, max_steps: int | None, memo=None, refs=No
     expansions; ``refs.lookup(nt, idx, root's child list so far)`` returns
     ``(tree, None)`` for a back-reference or ``(None, index left to decode)``.
     """
-    t_counts = g._t_counts
-    alts = g._alts
+    expand = g._expand
     isqrt = math.isqrt
     new = tuple.__new__
     budget = _NO_BUDGET if max_steps is None else max_steps
@@ -102,16 +100,14 @@ def unfold(g: Grammar, v: str, n: int, max_steps: int | None, memo=None, refs=No
                 f"the tree for this index may be too large to materialize"
             )
         if node is None:
-            t_count = t_counts[nt]
+            t_count, k, leaves, rules = expand[nt]
             if idx < t_count:
-                node = new(DerivationTree, (nt, alts[nt][idx][0]))
+                node = leaves[idx]
             else:
                 # IntegerizedStack.modpop and .split, written out inline
                 # because this loop dominates enumeration time.
-                rules = alts[nt]
-                k = len(rules) - t_count
                 value = idx - t_count
-                rhs, slots = rules[t_count + value % k]
+                rhs, slots = rules[value % k]
                 value //= k
                 if len(slots) == 1:
                     frames.append((nt, idx, list(rhs), (), slot, steps))

@@ -11,6 +11,13 @@ Rule lists are normalized so that for every nonterminal the rules with no
 nonterminal on the right-hand side come first, keeping source order within
 each group.  The integer codecs rely on that layout.
 
+A ``Grammar`` compiles its rules once, in its constructor, into the tables
+the codecs read: per nonterminal the rule counts, a shared node for each
+terminal rule and the child slots of each nonterminal rule (for
+``codec.unfold``), and one dict from a node's label and children to its
+rule (for ``encode``, ``sexpr_to_tree``, ``verify_tree`` and
+``rule_index_of``).  ``validate`` returns a copy that shares those tables.
+
 Validation enforces what the codecs require of every nonterminal reachable
 from the start symbol:
 
@@ -20,7 +27,7 @@ from the start symbol:
   reaches an all-terminal tree, so index 0 decodes to a finite tree.
 """
 
-from dataclasses import dataclass, field, replace
+import copy
 from typing import Iterator, NamedTuple, Union
 
 ARROW = "->"
@@ -59,73 +66,58 @@ class SexprSyntaxError(Exception):
     """Raised on malformed s-expression input."""
 
 
-@dataclass(frozen=True)
-class Rule:
-    """One production.  ``is_terminal`` means no nonterminal on the rhs."""
+class Rule(NamedTuple):
+    """One production: the right-hand side of a nonterminal's rule."""
 
-    lhs: str
     rhs: tuple[str, ...]
-    is_terminal: bool
 
 
-@dataclass(frozen=True)
 class Grammar:
-    """An immutable rule table keyed by nonterminal, terminal rules first.
+    """A rule table keyed by nonterminal, terminal rules first, and the
+    codec tables compiled from it; treat it as immutable.
 
     ``validated`` is set by :func:`validate`; the codecs refuse grammars
     without it since their termination depends on the validated properties.
+    Grammars compare equal on ``(start, rules, validated)`` and are not
+    hashable.
     """
 
-    start: str
-    rules: dict[str, tuple[Rule, ...]]
-    validated: bool = False
+    __slots__ = ("start", "rules", "validated", "_expand", "_rule_ids")
 
-    def __post_init__(self) -> None:
-        if self.start not in self.rules:
-            raise ValueError(f"start symbol {self.start!r} has no rules")
-        seen_nonterminal_rule = {}
-        for nt, rules in self.rules.items():
-            if not rules:
+    def __init__(self, start: str, rules: dict[str, tuple[Rule, ...]], validated: bool = False):
+        if start not in rules:
+            raise ValueError(f"start symbol {start!r} has no rules")
+        self.start = start
+        self.rules = rules
+        self.validated = validated
+        # _expand, for codec.unfold: per nonterminal (terminal-rule count t,
+        # nonterminal-rule count k, one shared node per terminal rule, per
+        # nonterminal rule (rhs, (position, symbol) of each nonterminal)).
+        # _rule_ids: the rule table of _rule_hit.
+        self._expand = {}
+        self._rule_ids = {}
+        for nt, alts in rules.items():
+            if not alts:
                 raise ValueError(f"nonterminal {nt!r} has no rules")
-            for rule in rules:
-                terminal = not any(s in self.rules for s in rule.rhs)
-                if rule.is_terminal != terminal:
-                    raise ValueError(f"rule {nt} -> {' '.join(rule.rhs)}: wrong terminal flag")
-                if rule.is_terminal and seen_nonterminal_rule.get(nt):
-                    raise ValueError(f"rules of {nt!r} are not normalized (terminal rules first)")
-                if not rule.is_terminal:
-                    seen_nonterminal_rule[nt] = True
-        # Lookup tables for the codecs: per nonterminal the terminal-rule
-        # count and, per rule, (rhs, (position, symbol) of each nonterminal);
-        # the rule table of _rule_hit.
-        t_counts = {}
-        alts = {}
-        rule_ids = {}
-        for nt, rules in self.rules.items():
-            t_counts[nt] = sum(1 for r in rules if r.is_terminal)
-            alts[nt] = tuple(
-                (r.rhs, tuple((i, s) for i, s in enumerate(r.rhs) if s in self.rules))
-                for r in rules
+            slots = [tuple((i, s) for i, s in enumerate(r.rhs) if s in rules) for r in alts]
+            t = slots.count(())
+            if any(slots[:t]):
+                raise ValueError(f"rules of {nt!r} are not normalized (terminal rules first)")
+            k = len(alts) - t
+            self._expand[nt] = (
+                t,
+                k,
+                tuple(DerivationTree(nt, r.rhs) for r in alts[:t]),
+                tuple((r.rhs, s) for r, s in zip(alts[t:], slots[t:])),
             )
-            for j, (rhs, slots) in enumerate(alts[nt]):
-                shape = tuple((s,) if s in self.rules else s for s in rhs)
-                rule_ids[nt, shape] = (j, len(slots), len(rules) - t_counts[nt])
-        object.__setattr__(self, "_t_counts", t_counts)
-        object.__setattr__(self, "_alts", alts)
-        object.__setattr__(self, "_rule_ids", rule_ids)
+            for j, (r, s) in enumerate(zip(alts, slots)):
+                shape = tuple((x,) if x in rules else x for x in r.rhs)
+                self._rule_ids[nt, shape] = (j, len(s), k)
 
-    @property
-    def nonterminals(self) -> tuple[str, ...]:
-        return tuple(self.rules)
-
-    def is_nonterminal(self, token: str) -> bool:
-        return token in self.rules
-
-    def rules_for(self, nt: str) -> tuple[Rule, ...]:
-        return self.rules[nt]
-
-    def terminal_rule_count(self, nt: str) -> int:
-        return self._t_counts[nt]
+    def __eq__(self, other):
+        if not isinstance(other, Grammar):
+            return NotImplemented
+        return (self.start, self.rules, self.validated) == (other.start, other.rules, other.validated)
 
 
 class DerivationTree(NamedTuple):
@@ -207,7 +199,7 @@ def write_tree(t: DerivationTree, head, leaf, sep: str, tail) -> str:
 
 def parse_grammar(text: str) -> Grammar:
     """Parse grammar text into an unvalidated, normalized Grammar."""
-    collected: list[tuple[str, tuple[str, ...], int]] = []
+    table: dict[str, list[Rule]] = {}
     seen: set[tuple[str, tuple[str, ...]]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -246,22 +238,15 @@ def parse_grammar(text: str) -> Grammar:
                     f"duplicate rule {lhs} {ARROW} {' '.join(rhs) or EPSILON}", lineno
                 )
             seen.add((lhs, rhs))
-            collected.append((lhs, rhs, lineno))
-    if not collected:
+            table.setdefault(lhs, []).append(Rule(rhs))
+    if not table:
         raise GrammarSyntaxError("grammar contains no rules")
-
-    nonterminals = {lhs for lhs, _, _ in collected}
-    table: dict[str, list[Rule]] = {}
-    for lhs, rhs, _ in collected:
-        terminal = not any(s in nonterminals for s in rhs)
-        table.setdefault(lhs, []).append(Rule(lhs, rhs, terminal))
     # Stable partition: terminal rules first, source order kept in each group.
     normalized = {
-        nt: tuple(r for r in rules if r.is_terminal) + tuple(r for r in rules if not r.is_terminal)
+        nt: tuple(sorted(rules, key=lambda r: any(s in table for s in r.rhs)))
         for nt, rules in table.items()
     }
-    start = collected[0][0]
-    return Grammar(start=start, rules=normalized)
+    return Grammar(next(iter(table)), normalized)
 
 
 def _check_symbol(tok: str, lineno: int) -> None:
@@ -285,18 +270,16 @@ def format_grammar(g: Grammar) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     nonterminal: str
     check: str  # "productivity" | "finite-trees" | "zero-termination"
     message: str
 
 
-@dataclass
-class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
-    unreachable: list[str] = field(default_factory=list)
-    checked: list[str] = field(default_factory=list)
+class ValidationReport(NamedTuple):
+    violations: list[Violation]
+    unreachable: list[str]
+    checked: list[str]
 
     @property
     def ok(self) -> bool:
@@ -309,31 +292,18 @@ def check_grammar(g: Grammar) -> ValidationReport:
     Unreachable nonterminals cannot influence enumeration; they are listed
     in the report but not required to pass.
     """
-    nts = set(g.rules)
-
     reachable = {g.start}
     work = [g.start]
     while work:
         v = work.pop()
         for rule in g.rules[v]:
             for sym in rule.rhs:
-                if sym in nts and sym not in reachable:
+                if sym in g.rules and sym not in reachable:
                     reachable.add(sym)
                     work.append(sym)
 
-    # Productivity: least fixpoint of "some rule has only productive symbols".
-    productive: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for v in g.rules:
-            if v in productive:
-                continue
-            for rule in g.rules[v]:
-                if all(s not in nts or s in productive for s in rule.rhs):
-                    productive.add(v)
-                    changed = True
-                    break
+    # Productivity: some rule has only productive symbols.
+    productive = _bottoms_out(g, lambda v: g.rules[v])
 
     # Infinitely many trees: v reaches (in >= 0 steps) a nonterminal on a
     # cycle of the rhs-occurrence graph restricted to productive symbols.
@@ -359,19 +329,9 @@ def check_grammar(g: Grammar) -> ValidationReport:
 
     # Zero-termination: the first rule of each nonterminal (a terminal rule
     # whenever one exists, thanks to normalization) eventually bottoms out.
-    zero_terminates: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for v in g.rules:
-            if v in zero_terminates:
-                continue
-            first = g.rules[v][0]
-            if all(s not in nts or s in zero_terminates for s in first.rhs):
-                zero_terminates.add(v)
-                changed = True
+    zero_terminates = _bottoms_out(g, lambda v: g.rules[v][:1])
 
-    report = ValidationReport(unreachable=[v for v in g.rules if v not in reachable])
+    report = ValidationReport([], [v for v in g.rules if v not in reachable], [])
     for v in g.rules:
         if v not in reachable:
             continue
@@ -395,12 +355,29 @@ def check_grammar(g: Grammar) -> ValidationReport:
     return report
 
 
+def _bottoms_out(g: Grammar, rules_of) -> set[str]:
+    """Least fixpoint: the nonterminals v with a rule in ``rules_of(v)``
+    whose rhs holds only terminals and members of the set."""
+    done: set[str] = set()
+    changed = True
+    while changed:
+        changed = False
+        for v in g.rules:
+            if v not in done and any(all(s not in g.rules or s in done for s in r.rhs) for r in rules_of(v)):
+                done.add(v)
+                changed = True
+    return done
+
+
 def validate(g: Grammar) -> Grammar:
-    """Return a validated copy of g, or raise InvalidGrammarError."""
+    """Return a validated copy of g, sharing its tables, or raise
+    InvalidGrammarError."""
     report = check_grammar(g)
     if not report.ok:
         raise InvalidGrammarError(report)
-    return replace(g, validated=True)
+    twin = copy.copy(g)
+    twin.validated = True
+    return twin
 
 
 def leaves(t: DerivationTree | str) -> list[str]:

@@ -6,9 +6,9 @@ bound.  It never touches the integer codecs, so it can sit on the other
 side of bijection tests from them.
 """
 
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Union
 
+from .codec import _check_args
 from .codec import decode as _codec_decode
 from .codec import encode as _codec_encode
 from .grammar import DerivationTree, Grammar, node_count, rule_index_of, subtrees
@@ -29,10 +29,7 @@ def all_trees(g: Grammar, v: str, max_nodes: int, *, max_steps: int = 10_000_000
     Node counts include terminal leaves.  The result is duplicate-free and
     ordered by (node count, preorder rule-index sequence).
     """
-    if not g.validated:
-        raise ValueError("grammar must be validated (call validate first)")
-    if v not in g.rules:
-        raise ValueError(f"unknown nonterminal {v!r}")
+    _check_args(g, v, 0)
     steps = 0
     done: list[DerivationTree] = []
     frontier: list[_Partial] = [_Hole(v)]
@@ -48,7 +45,8 @@ def all_trees(g: Grammar, v: str, max_nodes: int, *, max_steps: int = 10_000_000
                 if steps > max_steps:
                     raise RuntimeError(f"all_trees exceeded {max_steps} expansions")
                 expanded, _ = _expand_leftmost(t, rule.rhs, g)
-                if _min_size(expanded) <= max_nodes:
+                # Every hole becomes at least one node.
+                if node_count(expanded) <= max_nodes:
                     nxt.append(expanded)
         frontier = nxt
     done.sort(key=lambda t: (node_count(t), _rule_signature(g, t)))
@@ -81,32 +79,23 @@ def _expand_leftmost(t: _Partial, rhs: tuple[str, ...], g: Grammar):
     return DerivationTree(t.nt, tuple(out)), hit
 
 
-def _min_size(t: _Partial) -> int:
-    # Lower bound on the finished size: every hole becomes >= 1 node.
-    n = 0
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        n += 1
-        if isinstance(x, DerivationTree):
-            stack.extend(x.children)
-    return n
-
-
 def _rule_signature(g: Grammar, t: DerivationTree) -> tuple[int, ...]:
     return tuple(rule_index_of(g, node) for node in subtrees(t))
 
 
-@dataclass
 class BijectionReport:
     """Outcome of cross-checking the codecs against the oracle."""
 
-    tree_count: int = 0
-    max_index: int = 0
-    tree_roundtrip_failures: list[DerivationTree] = field(default_factory=list)
-    index_roundtrip_failures: list[int] = field(default_factory=list)
-    unreached_trees: list[DerivationTree] = field(default_factory=list)
-    unexpected_trees: list[DerivationTree] = field(default_factory=list)
+    def __init__(self, tree_count: int = 0, max_index: int = 0):
+        self.tree_count = tree_count
+        self.max_index = max_index
+        self.tree_roundtrip_failures: list[DerivationTree] = []
+        self.index_roundtrip_failures: list[int] = []
+        self.unreached_trees: list[DerivationTree] = []
+        self.unexpected_trees: list[DerivationTree] = []
+
+    def __repr__(self) -> str:
+        return f"BijectionReport({self.__dict__})"
 
     @property
     def ok(self) -> bool:
@@ -136,9 +125,8 @@ def bijection_check(
     functions are injectable so a deliberately broken one can be shown up
     in tests.
     """
-    report = BijectionReport(max_index=max_index)
     expected = all_trees(g, v, max_nodes)
-    report.tree_count = len(expected)
+    report = BijectionReport(len(expected), max_index)
 
     for t in expected:
         if decode_fn(g, v, encode_fn(g, t)) != t:

@@ -17,7 +17,6 @@ of its two subtree numbers.
 """
 
 import math
-from dataclasses import dataclass
 
 
 def isqrt(z: int) -> int:
@@ -85,16 +84,24 @@ def mod_unpair(k: int, z: int) -> tuple[int, int]:
     return z % k, z // k
 
 
-@dataclass(frozen=True)
 class BinaryTree:
     """A finite binary tree: either a leaf or an internal node with two children."""
 
-    left: "BinaryTree | None" = None
-    right: "BinaryTree | None" = None
+    __slots__ = ("left", "right")
 
-    def __post_init__(self) -> None:
-        if (self.left is None) != (self.right is None):
+    def __init__(self, left: "BinaryTree | None" = None, right: "BinaryTree | None" = None):
+        if (left is None) != (right is None):
             raise ValueError("internal nodes need exactly two children")
+        self.left = left
+        self.right = right
+
+    def __eq__(self, other):
+        if not isinstance(other, BinaryTree):
+            return NotImplemented
+        return (self.left, self.right) == (other.left, other.right)
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
     @property
     def is_leaf(self) -> bool:

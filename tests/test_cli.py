@@ -1,11 +1,15 @@
 import io
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
 from treenum import decode, tree_to_json_obj
 from treenum.cli import main
-from conftest import GRAMMARS, expected_ab_diff, expected_enumeration
+from conftest import GRAMMARS, REPO, expected_ab_diff, expected_enumeration
 
 TEXTBOOK = str(GRAMMARS / "textbook.cfg")
 
@@ -217,3 +221,56 @@ def test_resource_failures_exit_1_with_one_line(capsys, monkeypatch, failure):
     code, out, err = run_cli(capsys, "decode", TEXTBOOK, "3")
     assert code == 1
     assert err == f"error: tree too large to process ({failure.__name__})\n"
+
+
+def test_grammar_file_not_utf8_exits_1_with_one_line(capsys, tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"S -> x\xff | S S\n")
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+
+def digits(count, seed):
+    """A decimal index of ``count`` digits, made without int/str conversion,
+    which CPython limits to 4,300 digits by default."""
+    rng = random.Random(seed)
+    return rng.choice("123456789") + "".join(rng.choices("0123456789", k=count - 1))
+
+
+def test_indices_past_the_int_str_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    index = digits(5000, 1)
+    code, out, err = run_cli(capsys, "decode", str(GRAMMARS / "binary.cfg"), index)
+    assert code == 0, err
+    code, out, err = run_cli(capsys, "enumerate", str(GRAMMARS / "binary.cfg"), "--from", index,
+                             "--count", "1", "--show-index")
+    assert code == 0 and out.startswith(index + "\t"), err
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+
+
+def test_sexp_roundtrip_of_a_16000_bit_index(capsys, monkeypatch):
+    logic = str(REPO / "perfbench" / "logic.cfg")
+    index = "9" + digits(4816, 2)  # 16,001 or 16,002 bits
+    code, out, err = run_cli(capsys, "decode", logic, index, "--format", "sexp")
+    assert code == 0, err
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, out, err = run_cli(capsys, "encode", logic, "-")
+    assert code == 0 and out == index + "\n", err
+
+
+@pytest.mark.parametrize("argv", [("decode", TEXTBOOK), ("decode", TEXTBOOK, "0", "--format", "xml")])
+def test_usage_errors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "usage: treenum" in capsys.readouterr().err
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    script = "import sys, treenum.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0 and done.stdout == "[]\n", done.stderr

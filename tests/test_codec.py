@@ -58,16 +58,16 @@ def test_decoded_trees_are_valid(textbook, random3):
 
 
 def _zero_tree(g, v):
-    rule = g.rules_for(v)[0]
+    rule = g.rules[v][0]
     children = tuple(
-        _zero_tree(g, s) if g.is_nonterminal(s) else s for s in rule.rhs
+        _zero_tree(g, s) if s in g.rules else s for s in rule.rhs
     )
     return DerivationTree(v, children)
 
 
 def test_index_zero_takes_first_rules_everywhere(textbook, binary, random3):
     for g in (textbook, binary, random3):
-        for v in g.nonterminals:
+        for v in g.rules:
             assert decode(g, v, 0) == _zero_tree(g, v)
 
 

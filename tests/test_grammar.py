@@ -6,8 +6,10 @@ import pytest
 
 from treenum import (
     DerivationTree,
+    Grammar,
     GrammarSyntaxError,
     InvalidGrammarError,
+    Rule,
     SexprSyntaxError,
     TreeNotInGrammarError,
     check_grammar,
@@ -28,30 +30,37 @@ from conftest import REPO
 
 
 def test_textbook_normalization(textbook):
-    np_rules = [(r.rhs, r.is_terminal) for r in textbook.rules_for("NP")]
-    assert np_rules == [
-        (("n",), True),
-        (("d", "n"), True),
-        (("d", "AP", "n"), False),
-        (("NP", "PP"), False),
-    ]
-    assert textbook.terminal_rule_count("NP") == 2
+    np_rules = [r.rhs for r in textbook.rules["NP"]]
+    assert np_rules == [("n",), ("d", "n"), ("d", "AP", "n"), ("NP", "PP")]
     assert textbook.start == "S"
-    assert textbook.nonterminals == ("S", "NP", "AP", "PP", "VP")
+    assert tuple(textbook.rules) == ("S", "NP", "AP", "PP", "VP")
 
 
 def test_single_terminal_rule_grammar():
     g = parse_grammar("S -> x")
-    rules = g.rules_for("S")
-    assert len(rules) == 1 and rules[0].is_terminal
+    assert g.rules["S"] == (Rule(("x",)),)
 
 
 def test_stable_partition_reorders_terminal_rules_first():
     g = parse_grammar("S -> S S | x")
-    assert [(r.rhs, r.is_terminal) for r in g.rules_for("S")] == [
-        (("x",), True),
-        (("S", "S"), False),
-    ]
+    assert [r.rhs for r in g.rules["S"]] == [("x",), ("S", "S")]
+
+
+def test_hand_built_grammars_are_checked():
+    with pytest.raises(ValueError, match="not normalized"):
+        Grammar("S", {"S": (Rule(("S", "S")), Rule(("x",)))})
+    with pytest.raises(ValueError, match="has no rules"):
+        Grammar("S", {"S": (Rule(("x",)),), "T": ()})
+
+
+def test_validate_shares_the_compiled_tables():
+    g = parse_grammar("S -> x | S S")
+    v = validate(g)
+    assert v.validated and not g.validated
+    assert v._expand is g._expand and v._rule_ids is g._rule_ids
+    assert v == validate(parse_grammar("S -> x | S S")) and v != g
+    with pytest.raises(TypeError):
+        hash(v)
 
 
 def test_start_symbol_is_first_lhs():
@@ -61,18 +70,18 @@ def test_start_symbol_is_first_lhs():
 
 def test_same_lhs_lines_append_alternatives():
     g = parse_grammar("S -> x\nS -> S S\nS -> y")
-    assert [r.rhs for r in g.rules_for("S")] == [("x",), ("y",), ("S", "S")]
+    assert [r.rhs for r in g.rules["S"]] == [("x",), ("y",), ("S", "S")]
 
 
 def test_comments_and_blank_lines_ignored():
     g = parse_grammar("# heading\n\nS -> x  # trailing\n   \n")
-    assert g.rules_for("S")[0].rhs == ("x",)
+    assert g.rules["S"][0].rhs == ("x",)
 
 
 def test_epsilon_rule():
     g = parse_grammar("S -> a S | <eps>")
-    rules = g.rules_for("S")
-    assert rules[0].rhs == () and rules[0].is_terminal
+    rules = g.rules["S"]
+    assert rules[0].rhs == ()
     assert rules[1].rhs == ("a", "S")
 
 
@@ -114,7 +123,7 @@ def test_format_parse_roundtrip(textbook):
 def test_validate_accepts_textbook_and_binary(textbook, binary):
     assert textbook.validated and binary.validated
     report = check_grammar(textbook)
-    assert report.ok and report.checked == list(textbook.nonterminals)
+    assert report.ok and report.checked == list(textbook.rules)
 
 
 def test_validate_rejects_finite_language():

@@ -212,7 +212,7 @@ def oracle_lz_decode(g, v, n, eligible=default_eligibility, max_steps=None):
             return _thaw(targets[idx])
         idx -= len(targets)
         rules = g.rules[nt]
-        t_count = sum(1 for r in rules if r.is_terminal)
+        t_count = sum(1 for r in rules if not any(s in g.rules for s in r.rhs))
         if idx < t_count:
             return _OracleNode(nt, list(rules[idx].rhs), complete=True)
         value = idx - t_count
