@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .codec import StepBudgetExceeded, decode, encode, enumerate_trees
+from .codec import StepBudgetExceeded, _check_args, decode, encode, enumerate_trees
 from .grammar import (
     Grammar,
     GrammarSyntaxError,
@@ -115,8 +115,10 @@ def _dispatch(args) -> int:
         return EXIT_INVALID_GRAMMAR
 
     start = getattr(args, "start", None) or validated.start
-    if start not in validated.rules:
-        print(f"error: unknown nonterminal {start!r}", file=sys.stderr)
+    try:
+        _check_args(validated, start, 0)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
     if args.command == "enumerate":
@@ -178,7 +180,7 @@ def _render(tree, args) -> str:
     # once per tree level.
     quote = json.encoder.encode_basestring_ascii
     return write_tree(tree, lambda x: f'{{"nt":{quote(x.nt)},"children":[', quote, ",",
-                      lambda x: "]}")
+                      lambda x: "]}", "_json")
 
 
 def _cmd_enumerate(g: Grammar, start: str, args) -> int:

@@ -23,7 +23,7 @@ import itertools
 import math
 from typing import Iterator
 
-from .grammar import DerivationTree, Grammar, _rule_hit, rule_index_of
+from .grammar import DerivationTree, Grammar, _rule_hit, _Shared, rule_index_of
 
 DEFAULT_STEP_BUDGET = 1_000_000
 _NO_BUDGET = 1 << 62  # stands in for max_steps=None; no tree gets near it
@@ -32,6 +32,7 @@ _NO_BUDGET = 1 << 62  # stands in for max_steps=None; no tree gets near it
 # MEMO_LIMIT: child indices shrink like a square root, so they recur often.
 MEMO_LIMIT = 1024
 MEMO_CAP = 50_000
+SHARE_LIMIT = 256  # memo subtrees of up to this many expansions keep their renderings
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -137,10 +138,13 @@ def unfold(g: Grammar, v: str, n: int, max_steps: int | None, memo=None, refs=No
                 slot, nt, idx = frame[3].pop()
                 break
             frames.pop()
-            node = new(DerivationTree, (frame[0], tuple(frame[2])))
             slot = frame[4]
-            if memo is not None and frame[1] < MEMO_LIMIT and len(memo) < MEMO_CAP:
-                memo[frame[0], frame[1]] = (node, steps - frame[5] + 1)
+            if memo is None or frame[1] >= MEMO_LIMIT or len(memo) >= MEMO_CAP:
+                node = new(DerivationTree, (frame[0], tuple(frame[2])))
+                continue
+            size = steps - frame[5] + 1
+            node = new(_Shared if size <= SHARE_LIMIT else DerivationTree, (frame[0], tuple(frame[2])))
+            memo[frame[0], frame[1]] = (node, size)
         else:
             return node, steps
 
@@ -185,7 +189,8 @@ def enumerate_trees(
 
     ``count`` limits the stream; None streams forever.  The stream keeps a
     bounded memo of small subtrees (see ``MEMO_LIMIT``), shared between its
-    trees, so memory use does not grow with the index.
+    trees, so memory use does not grow with the index.  The renderers keep
+    their text on memo subtrees of up to ``SHARE_LIMIT`` expansions.
     """
     if v is None:
         v = g.start
@@ -206,5 +211,7 @@ def _check_args(g: Grammar, v: str, n: int) -> None:
         raise ValueError("grammar must be validated (call validate first)")
     if v not in g.rules:
         raise ValueError(f"unknown nonterminal {v!r}")
+    if v not in g._checked:
+        raise ValueError(f"nonterminal {v!r} is unreachable from {g.start!r} and was not validated")
     if n < 0:
         raise ValueError(f"index must be a non-negative integer (got {n})")

@@ -17,6 +17,7 @@ terminal rule and the child slots of each nonterminal rule (for
 ``codec.unfold``), and one dict from a node's label and children to its
 rule (for ``encode``, ``sexpr_to_tree``, ``verify_tree`` and
 ``rule_index_of``).  ``validate`` returns a copy that shares those tables.
+The renderers keep their text of each ``enumerate_trees`` memo node on it.
 
 Validation enforces what the codecs require of every nonterminal reachable
 from the start symbol:
@@ -82,7 +83,7 @@ class Grammar:
     hashable.
     """
 
-    __slots__ = ("start", "rules", "validated", "_expand", "_rule_ids")
+    __slots__ = ("start", "rules", "validated", "_checked", "_expand", "_rule_ids")
 
     def __init__(self, start: str, rules: dict[str, tuple[Rule, ...]], validated: bool = False):
         if start not in rules:
@@ -90,6 +91,7 @@ class Grammar:
         self.start = start
         self.rules = rules
         self.validated = validated
+        self._checked = frozenset(rules if validated else ())  # where the codecs may start
         # _expand, for codec.unfold: per nonterminal (terminal-rule count t,
         # nonterminal-rule count k, one shared node per terminal rule, per
         # nonterminal rule (rhs, (position, symbol) of each nonterminal)).
@@ -164,8 +166,29 @@ class DerivationTree(NamedTuple):
 
     def __repr__(self):
         return write_tree(
-            self, lambda x: f"{type(x).__name__}(nt={x[0]!r}, children=(", repr, ", ",
+            self, lambda x: f"DerivationTree(nt={x[0]!r}, children=(", repr, ", ",
             lambda x: ",))" if len(x[1]) == 1 else "))")
+
+
+class _Shared(DerivationTree):
+    """A memo node of an ``enumerate_trees`` stream.  Its ``__dict__`` keeps
+    its renderings; ``_replace``, ``copy`` and ``pickle`` give plain nodes."""
+
+    _make = DerivationTree._make
+
+    def __reduce__(self):
+        return DerivationTree, (self[0], self[1])
+
+
+def _reuse(x: _Shared, key: str, add, out: list, stack: list) -> bool:
+    """In a render walk: ``add`` x's text under ``key`` to out and return True,
+    or push ``(x, len(out))``, the mark that closes x, and return False."""
+    got = x.__dict__.get(key)
+    if got is None:
+        stack.append((x, len(out)))
+        return False
+    add(got)
+    return True
 
 
 class _Hashed(int):
@@ -175,16 +198,22 @@ class _Hashed(int):
     __hash__ = int.__index__
 
 
-def write_tree(t: DerivationTree, head, leaf, sep: str, tail) -> str:
+def write_tree(t: DerivationTree, head, leaf, sep: str, tail, key: str = "") -> str:
     """Text of a tree, built without recursing: for each node ``head(node)``,
     its children separated by ``sep`` (terminals written by ``leaf``), then
-    ``tail(node)``."""
+    ``tail(node)``.  Memo nodes keep their text under a nonempty ``key``."""
     pieces = []
     stack: list = [t]
     while stack:
         x = stack.pop()
+        if type(x) is tuple:
+            pieces[x[1]:] = ["".join(pieces[x[1]:])]
+            x[0].__dict__[key] = pieces[-1]
+            continue
         if not isinstance(x, DerivationTree):
             pieces.append(x)
+            continue
+        if key and type(x) is _Shared and _reuse(x, key, pieces.append, pieces, stack):
             continue
         pieces.append(head(x))
         stack.append(tail(x))
@@ -377,17 +406,22 @@ def validate(g: Grammar) -> Grammar:
         raise InvalidGrammarError(report)
     twin = copy.copy(g)
     twin.validated = True
+    twin._checked = frozenset(report.checked)
     return twin
 
 
 def leaves(t: DerivationTree | str) -> list[str]:
     """Terminal tokens of the tree in left-to-right order."""
     out: list[str] = []
-    stack: list[DerivationTree | str] = [t]
+    stack: list = [t]
     while stack:
         x = stack.pop()
         if isinstance(x, DerivationTree):
-            stack.extend(reversed(x.children))
+            if type(x) is _Shared and _reuse(x, "_leaves", out.extend, out, stack):
+                continue
+            stack.extend(reversed(x[1]))
+        elif type(x) is tuple:
+            x[0]._leaves = tuple(out[x[1]:])
         else:
             out.append(x)
     return out
@@ -457,10 +491,17 @@ def tree_to_sexpr(t: DerivationTree) -> str:
     stack: list = [t]
     while stack:
         x = stack.pop()
-        if isinstance(x, DerivationTree):
+        if type(x) is str:
+            pieces.append(x)
+        elif isinstance(x, DerivationTree):
+            if type(x) is _Shared and _reuse(x, "_sexp", pieces.append, pieces, stack):
+                continue
             pieces.append("(" + x[0])
             stack.append(")")
             stack.extend(reversed(x[1]))
+        elif type(x) is tuple:
+            pieces[x[1]:] = [" ".join(pieces[x[1]:])]
+            x[0]._sexp = pieces[-1]
         else:
             pieces.append(x)
     # Symbols hold no parentheses, so " )" only ever ends a node.

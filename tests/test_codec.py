@@ -10,6 +10,7 @@ from treenum import (
     encode,
     enumerate_trees,
     load_grammar,
+    lz_decode,
     parse_grammar,
     rule_index_of,
     sexpr_to_tree,
@@ -17,6 +18,7 @@ from treenum import (
     validate,
     yield_of,
 )
+from treenum.cli import main
 from conftest import REPO, expected_enumeration
 
 
@@ -111,6 +113,25 @@ def test_decode_rejects_bad_arguments(textbook):
         decode(textbook, "XP", 0)
     with pytest.raises(ValueError):
         decode(textbook, "S", -1)
+
+
+@pytest.mark.parametrize("text", ["S -> x S | x\nT -> y\n", "S -> x S | x\nT -> T y\n"])
+def test_unchecked_start_symbol_is_refused(capsys, tmp_path, text):
+    # validate never checks T, which is unreachable from S: with T -> y it
+    # has no nonterminal rule to divide by, with T -> T y no finite tree.
+    g = validate(parse_grammar(text))
+    calls = (lambda: decode(g, "T", 1), lambda: next(enumerate_trees(g, "T")),
+             lambda: lz_decode(g, "T", 1))
+    for call in calls:
+        with pytest.raises(ValueError, match="'T' is unreachable from 'S'"):
+            call()
+    assert yield_of(decode(g, "S", 1)) == "xx"
+    path = tmp_path / "g.cfg"
+    path.write_text(text)
+    assert main(["decode", str(path), "1", "--start", "T"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: nonterminal 'T' is unreachable from 'S' and was not validated\n"
 
 
 def test_big_index_roundtrip_on_branching_grammars(binary, random3):
